@@ -336,6 +336,17 @@ func (d *durability) appendLocked(rec *walRecord) error {
 	return nil
 }
 
+// walHealth is the sticky append error: nil while the WAL accepts
+// records (or there is none), non-nil from a failed append until the next
+// checkpoint rotates to a fresh segment. /readyz and rlserv_wal_healthy
+// surface it, so a daemon that can no longer ack completion batches does
+// not keep reporting ready.
+func (d *durability) walHealth() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.walErr
+}
+
 // commitBatch makes one /place completion batch durable and folds it into
 // the tracker. Returns applied=false (and no state change) when the
 // client's batch_seq says the batch was already absorbed — the retry

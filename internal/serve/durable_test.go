@@ -509,3 +509,92 @@ func TestMigrateDrained(t *testing.T) {
 		t.Errorf("drained shard recommended as destination: %d %s", code, resp)
 	}
 }
+
+// TestPoisonedWALSurfaces: a failed WAL append makes every later
+// completion batch answer 500, so the daemon must stop reporting ready
+// and export rlserv_wal_healthy 0 — and both must recover once a
+// checkpoint rotates to a fresh segment.
+func TestPoisonedWALSurfaces(t *testing.T) {
+	srv, ts := newTestServer(t, durableConfig(t.TempDir()))
+	batch := func(seq int64) []byte {
+		return placeBodySeq(t, `[0, 600, 1, 3]`, "feed", seq,
+			fairClusterState("a", 64, 64, `[7, 30, 60]`),
+			fairClusterState("b", 64, 64, ""))
+	}
+	healthy := func(want bool) {
+		t.Helper()
+		code, out := getJSON(t, ts.URL+"/readyz")
+		if want != (code == http.StatusOK) {
+			t.Fatalf("readyz = %d %q, want healthy=%v", code, out, want)
+		}
+		if !want && !strings.HasPrefix(string(out), "wal unhealthy: serve: wal append: ") {
+			t.Fatalf("readyz body %q does not name the WAL error", out)
+		}
+		gauge := "rlserv_wal_healthy 0\n"
+		if want {
+			gauge = "rlserv_wal_healthy 1\n"
+		}
+		if _, m := getJSON(t, ts.URL+"/metrics"); !strings.Contains(string(m), gauge) {
+			t.Fatalf("metrics lack %q", gauge)
+		}
+	}
+
+	if code, out := postJSON(t, ts.URL+"/place", batch(1)); code != http.StatusOK {
+		t.Fatalf("batch 1: %d %s", code, out)
+	}
+	healthy(true)
+
+	// Break the live segment under the daemon: the next append fails and
+	// poisons the WAL.
+	srv.durable.mu.Lock()
+	srv.durable.wal.Close()
+	srv.durable.mu.Unlock()
+	for seq := int64(2); seq <= 3; seq++ {
+		if code, out := postJSON(t, ts.URL+"/place", batch(seq)); code != http.StatusInternalServerError {
+			t.Fatalf("batch %d on a broken WAL: %d %s, want 500", seq, code, out)
+		}
+	}
+	healthy(false)
+
+	if err := srv.durable.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	healthy(true)
+	if code, out := postJSON(t, ts.URL+"/place", batch(4)); code != http.StatusOK {
+		t.Fatalf("batch after rotation: %d %s", code, out)
+	}
+	if _, jobs := userJobs(t, ts.URL, 7); jobs != 2 {
+		t.Errorf("user 7 tracked jobs = %d, want 2 (batches 1 and 4; the refused ones never applied)", jobs)
+	}
+}
+
+// TestPlaceBatchSeqExact: batch_seq is an exact int64 on every decode
+// path. 2^53 and 2^53+1 are the same float64, so a decoder that rounded
+// through one would dedup the second batch; both must apply. A
+// fractional batch_seq is a 400.
+func TestPlaceBatchSeqExact(t *testing.T) {
+	_, ts := newFairServer(t, 2)
+	post := func(client string, seq int64) {
+		t.Helper()
+		code, resp := postJSON(t, ts.URL+"/place", placeBodySeq(t, `[0, 600, 1, 3]`, client, seq,
+			fairClusterState("a", 64, 64, `[7, 30, 60]`),
+			fairClusterState("b", 64, 64, "")))
+		if code != http.StatusOK || strings.Contains(string(resp), `"deduped"`) {
+			t.Fatalf("%s batch %d: %d %s, want applied", client, seq, code, resp)
+		}
+	}
+	// Past the fast path's 15 digits (the encoding/json fallback) and at
+	// its edge (the fast path itself).
+	post("big", 1<<53)
+	post("big", 1<<53+1)
+	post("edge", 999_999_999_999_998)
+	post("edge", 999_999_999_999_999)
+	if _, jobs := userJobs(t, ts.URL, 7); jobs != 4 {
+		t.Errorf("user 7 tracked jobs = %d, want 4: an adjacent batch_seq was deduped", jobs)
+	}
+	frac := []byte(`{"job":[0,600,1,3],"client":"big","batch_seq":1.5,"clusters":[` +
+		fairClusterState("a", 64, 64, `[7, 30, 60]`) + `,` + fairClusterState("b", 64, 64, "") + `]}`)
+	if code, out := postJSON(t, ts.URL+"/place", frac); code != http.StatusBadRequest {
+		t.Errorf("batch_seq 1.5 answered %d %s, want 400", code, out)
+	}
+}

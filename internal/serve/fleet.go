@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -161,17 +162,17 @@ func (s *Server) shardByName(name string) (int, *shard) {
 	return -1, nil
 }
 
-// readLimitedBody reads a request body up to the configured cap, writing
-// the 4xx itself and reporting ok=false on failure.
-func (s *Server) readLimitedBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBody+1))
+// readBody reads a request body up to the configured cap into buf,
+// writing the 4xx itself and reporting ok=false on failure.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf []byte) (body []byte, ok bool) {
+	body, err := readAllInto(buf, io.LimitReader(r.Body, s.maxBody+1))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
-		return nil, false
+		return body, false
 	}
 	if int64(len(body)) > s.maxBody {
 		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: body over %d bytes", s.maxBody))
-		return nil, false
+		return body, false
 	}
 	return body, true
 }
@@ -190,10 +191,22 @@ type shardEngineScorer struct{ s *Server }
 // Name implements fleet.Scorer.
 func (*shardEngineScorer) Name() string { return "shard-engine" }
 
+// scoreScratch is one Score call's reusable queue state: every /place
+// scores each posted cluster, so the per-candidate state is pooled.
+type scoreScratch struct {
+	jobs   []*job.Job
+	st     QueueState
+	states [1]*QueueState
+	one    [1]Decision
+	key    []byte
+}
+
+var scoreScratchPool = sync.Pool{New: func() interface{} { return new(scoreScratch) }}
+
 // Score implements fleet.Scorer.
 func (sc *shardEngineScorer) Score(j *job.Job, cands []*fleet.Candidate, out []float64) {
-	var one [1]Decision
-	var keyBuf []byte
+	scr := scoreScratchPool.Get().(*scoreScratch)
+	defer scoreScratchPool.Put(scr)
 	cache := sc.s.cache
 	for i, c := range cands {
 		eng := sc.s.shards[c.Index].batcher.Engine()
@@ -201,59 +214,33 @@ func (sc *shardEngineScorer) Score(j *job.Job, cands []*fleet.Candidate, out []f
 		if max := eng.MaxJobs(); max > 0 && len(vis) > max-1 {
 			vis = vis[:max-1] // keep a slot for the candidate job
 		}
-		jobs := make([]*job.Job, 0, len(vis)+1)
-		jobs = append(jobs, vis...)
-		jobs = append(jobs, j)
-		st := &QueueState{
-			Jobs:       jobs,
+		scr.jobs = append(append(scr.jobs[:0], vis...), j)
+		scr.st = QueueState{
+			Jobs:       scr.jobs,
 			Now:        c.Now,
 			View:       c.View,
 			QueueLen:   c.Pending + 1,
 			WantScores: true,
 		}
+		scr.states[0] = &scr.st
 		// The same (queue, job) pair is re-scored on every /place a
 		// cluster's queue sits still for, so this inner decision shares
 		// the /v1/decide cache — keyed by the shard whose engine answers.
 		if cache != nil {
-			keyBuf = cache.appendCacheKey(keyBuf[:0], c.Index, st)
-			key := string(keyBuf)
+			scr.key = cache.appendCacheKey(scr.key[:0], c.Index, &scr.st)
+			key := string(scr.key)
 			if e, ok := cache.get(key); ok {
 				out[i] = fleet.LastLogSoftmax(e.dec.Scores)
 				continue
 			}
-			eng.DecideBatch([]*QueueState{st}, one[:])
-			cache.put(key, cacheEntry{dec: one[0], policy: eng.Name()})
-			out[i] = fleet.LastLogSoftmax(one[0].Scores)
+			eng.DecideBatch(scr.states[:], scr.one[:])
+			cache.put(key, cacheEntry{dec: scr.one[0], policy: eng.Name()})
+			out[i] = fleet.LastLogSoftmax(scr.one[0].Scores)
 			continue
 		}
-		eng.DecideBatch([]*QueueState{st}, one[:])
-		out[i] = fleet.LastLogSoftmax(one[0].Scores)
+		eng.DecideBatch(scr.states[:], scr.one[:])
+		out[i] = fleet.LastLogSoftmax(scr.one[0].Scores)
 	}
-}
-
-// placeCluster is one cluster's state in a /place request: a named queue
-// state. Unlike /v1/decide states, an empty jobs list is legal (an idle
-// cluster is the best possible placement). Completed carries the jobs the
-// cluster finished since its last report — the fairness tracker's
-// incremental feed (ignored unless the daemon runs with a fairness
-// weight).
-type placeCluster struct {
-	Name      string     `json:"name"`
-	Completed []wireDone `json:"completed"`
-	wireState
-}
-
-// placeRequest is the /place body. Client and BatchSeq are the optional
-// dedup identity of the completed-records batch: a client that tags each
-// batch with a monotonically increasing sequence can retry a /place
-// request (timeout, 5xx) without double-counting its completions — a
-// batch whose seq is not above the client's highest absorbed seq is
-// acknowledged but not re-observed.
-type placeRequest struct {
-	Job      wireJob        `json:"job"`
-	Clusters []placeCluster `json:"clusters"`
-	Client   string         `json:"client"`
-	BatchSeq *int64         `json:"batch_seq"`
 }
 
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
@@ -266,37 +253,41 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	body, ok := s.readLimitedBody(w, r)
+	pb := placeBufPool.Get().(*placeBuf)
+	defer placeBufPool.Put(pb)
+	body, ok := s.readBody(w, r, pb.body[:0])
+	pb.body = body
 	if !ok {
 		return
 	}
-	var req placeRequest
-	req.Job.UserID = -1
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := pb.parse(body, false); err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: bad place request: %w", err))
 		return
 	}
-	if req.Job.ReqProcs <= 0 || req.Job.ReqTime <= 0 {
+	j := &pb.job
+	if j.RequestedProcs <= 0 || j.RequestedTime <= 0 {
 		s.fail(w, http.StatusBadRequest,
 			fmt.Errorf("serve: job needs positive requested_time and requested_procs"))
 		return
 	}
-	if len(req.Clusters) == 0 {
+	if len(pb.clusters) == 0 {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: place request carries no clusters"))
 		return
 	}
-	if req.BatchSeq != nil {
-		if req.Client == "" {
+	var seq *int64
+	if pb.hasSeq {
+		if pb.client == "" {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: batch_seq needs a client id"))
 			return
 		}
-		if *req.BatchSeq < 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: batch_seq must be non-negative, got %d", *req.BatchSeq))
+		if pb.seq < 0 {
+			s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: batch_seq must be non-negative, got %d", pb.seq))
 			return
 		}
+		seq = &pb.seq
 	}
 
-	cands, err := s.placeCandidates(req.Clusters)
+	cands, err := s.placeCandidates(pb)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -322,8 +313,6 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: every posted cluster is drained"))
 		return
 	}
-	jv := req.Job.toJob()
-	j := &jv
 	deduped := false
 	if s.fairness != nil {
 		// The tracker is persistent state: a batch that is half-folded
@@ -348,12 +337,12 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("serve: job (%d procs) fits no cluster", j.RequestedProcs))
 			return
 		}
-		for i := range req.Clusters {
-			pc := &req.Clusters[i]
-			for k := range pc.Completed {
-				if wd := &pc.Completed[k]; wd.Wait < 0 || wd.Run < 0 {
+		for i := range pb.clusters {
+			pc := &pb.clusters[i]
+			for k, wd := range pb.done[pc.done[0]:pc.done[1]] {
+				if wd.Wait < 0 || wd.Run < 0 {
 					s.fail(w, http.StatusBadRequest,
-						fmt.Errorf("serve: cluster %q completed job %d needs non-negative wait and run_time", pc.Name, k))
+						fmt.Errorf("serve: cluster %q completed job %d needs non-negative wait and run_time", pc.name, k))
 					return
 				}
 			}
@@ -362,17 +351,16 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		// them. The durability layer owns the fold: WAL append (when
 		// configured) strictly before Observe, and the batch_seq dedup
 		// check strictly before both — a replayed batch changes nothing.
-		var wcs []walCluster
-		var idxs []int
-		for i := range req.Clusters {
-			pc := &req.Clusters[i]
-			if len(pc.Completed) == 0 {
+		pb.wcs, pb.idxs = pb.wcs[:0], pb.idxs[:0]
+		for i := range pb.clusters {
+			pc := &pb.clusters[i]
+			if pc.done[0] == pc.done[1] {
 				continue
 			}
-			wcs = append(wcs, walCluster{Name: pc.Name, Done: pc.Completed})
-			idxs = append(idxs, cands[i].Index)
+			pb.wcs = append(pb.wcs, walCluster{Name: cands[i].Name, Done: pb.done[pc.done[0]:pc.done[1]]})
+			pb.idxs = append(pb.idxs, cands[i].Index)
 		}
-		applied, err := s.durable.commitBatch(req.Client, req.BatchSeq, wcs, idxs)
+		applied, err := s.durable.commitBatch(pb.client, seq, pb.wcs, pb.idxs)
 		if err != nil {
 			// The WAL refused the batch; acking it would promise a
 			// durability the disk did not deliver.
@@ -389,7 +377,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	if wantExplain || s.ring != nil {
 		ex = new(obs.Explain)
 	}
-	scores := make([]float64, len(active))
+	scores := pb.scoreBuf(len(active))
 	pick := s.placer.PlaceExplained(j, active, scores, ex)
 	if pick < 0 {
 		s.fail(w, http.StatusUnprocessableEntity,
@@ -408,8 +396,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 
-	resp := make([]byte, 0, 256)
-	resp = append(resp, `{"cluster":`...)
+	resp := append(pb.resp[:0], `{"cluster":`...)
 	resp = strconv.AppendQuote(resp, active[pick].Name)
 	resp = append(resp, `,"shard":`...)
 	resp = strconv.AppendInt(resp, int64(active[pick].Index), 10)
@@ -447,6 +434,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		resp = append(resp, exJSON...)
 	}
 	resp = append(resp, '}', '\n')
+	pb.resp = resp
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(resp)
 
@@ -478,17 +466,6 @@ func appendScoresJSON(buf []byte, cands []*fleet.Candidate, scores []float64) []
 	return append(buf, '}')
 }
 
-// migrateRequest is the /migrate body: the queued job, the name of the
-// cluster currently holding it, and every cluster's state. Like the
-// offline migration controller, the caller reports states as if the job
-// were already withdrawn — its current cluster's jobs list must not
-// include it, so its own footprint cannot bias the incumbent's score.
-type migrateRequest struct {
-	Job      wireJob        `json:"job"`
-	From     string         `json:"from"`
-	Clusters []placeCluster `json:"clusters"`
-}
-
 // handleMigrate is the serving twin of the fleet migration controller's
 // per-job decision: re-score the job through the placement pipeline and
 // recommend a move only when the best alternative beats the incumbent by
@@ -506,22 +483,24 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	body, ok := s.readLimitedBody(w, r)
+	pb := placeBufPool.Get().(*placeBuf)
+	defer placeBufPool.Put(pb)
+	body, ok := s.readBody(w, r, pb.body[:0])
+	pb.body = body
 	if !ok {
 		return
 	}
-	var req migrateRequest
-	req.Job.UserID = -1
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := pb.parse(body, true); err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: bad migrate request: %w", err))
 		return
 	}
-	if req.Job.ReqProcs <= 0 || req.Job.ReqTime <= 0 {
+	j := &pb.job
+	if j.RequestedProcs <= 0 || j.RequestedTime <= 0 {
 		s.fail(w, http.StatusBadRequest,
 			fmt.Errorf("serve: job needs positive requested_time and requested_procs"))
 		return
 	}
-	cands, err := s.placeCandidates(req.Clusters)
+	cands, err := s.placeCandidates(pb)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -530,10 +509,10 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	// current cluster stays in the set — migrating OFF a cordoned member
 	// is the endpoint's whole purpose during a drain.
 	for _, c := range cands {
-		if c.Name != req.From && s.drained[c.Index].Load() {
+		if c.Name != pb.from && s.drained[c.Index].Load() {
 			act := make([]*fleet.Candidate, 0, len(cands))
 			for _, c := range cands {
-				if c.Name == req.From || !s.drained[c.Index].Load() {
+				if c.Name == pb.from || !s.drained[c.Index].Load() {
 					act = append(act, c)
 				}
 			}
@@ -543,19 +522,17 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	}
 	from := -1
 	for i, c := range cands {
-		if c.Name == req.From {
+		if c.Name == pb.from {
 			from = i
 		}
 	}
 	if from < 0 {
 		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("serve: current cluster %q missing from posted states", req.From))
+			fmt.Errorf("serve: current cluster %q missing from posted states", pb.from))
 		return
 	}
 
-	jv := req.Job.toJob()
-	j := &jv
-	scores := make([]float64, len(cands))
+	scores := pb.scoreBuf(len(cands))
 	best := s.placer.PlaceScored(j, cands, scores)
 	move := false
 	dst := from
@@ -569,8 +546,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	resp := make([]byte, 0, 256)
-	resp = append(resp, `{"migrate":`...)
+	resp := append(pb.resp[:0], `{"migrate":`...)
 	resp = strconv.AppendBool(resp, move)
 	resp = append(resp, `,"cluster":`...)
 	resp = strconv.AppendQuote(resp, cands[dst].Name)
@@ -585,6 +561,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	resp = append(resp, `,"scores":`...)
 	resp = appendScoresJSON(resp, cands, scores)
 	resp = append(resp, '}', '\n')
+	pb.resp = resp
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(resp)
 
@@ -599,54 +576,62 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 }
 
 // placeCandidates turns the posted cluster states into fleet candidates,
-// validating each against the registered shards.
-func (s *Server) placeCandidates(clusters []placeCluster) ([]*fleet.Candidate, error) {
-	cands := make([]*fleet.Candidate, 0, len(clusters))
-	seen := map[string]bool{}
-	for i := range clusters {
-		pc := &clusters[i]
-		idx, sh := s.shardByName(pc.Name)
+// validating each against the registered shards. The candidates and
+// their visible queues live in pb.
+func (s *Server) placeCandidates(pb *placeBuf) ([]*fleet.Candidate, error) {
+	// Pointers are taken only now: the arena may have regrown while
+	// parsing.
+	pb.jobPtr = pb.jobPtr[:0]
+	for i := range pb.jobs {
+		pb.jobPtr = append(pb.jobPtr, &pb.jobs[i])
+	}
+	if cap(pb.seen) < len(s.shards) {
+		pb.seen = make([]bool, len(s.shards))
+	}
+	pb.seen = pb.seen[:len(s.shards)]
+	clear(pb.seen)
+	pb.cands = pb.cands[:0]
+	for i := range pb.clusters {
+		pc := &pb.clusters[i]
+		idx, sh := s.shardByName(string(pc.name))
 		if sh == nil {
-			return nil, fmt.Errorf("serve: unknown cluster %q", pc.Name)
+			return nil, fmt.Errorf("serve: unknown cluster %q", pc.name)
 		}
-		if seen[pc.Name] {
-			return nil, fmt.Errorf("serve: cluster %q listed twice", pc.Name)
+		if pb.seen[idx] {
+			return nil, fmt.Errorf("serve: cluster %q listed twice", pc.name)
 		}
-		seen[pc.Name] = true
-		if pc.TotalProcs != sh.procs {
+		pb.seen[idx] = true
+		if pc.total != sh.procs {
 			return nil, fmt.Errorf("serve: cluster %q reports %d procs, shard has %d",
-				pc.Name, pc.TotalProcs, sh.procs)
+				pc.name, pc.total, sh.procs)
 		}
-		if pc.FreeProcs < 0 || pc.FreeProcs > pc.TotalProcs {
-			return nil, fmt.Errorf("serve: cluster %q free_procs out of range", pc.Name)
+		if pc.free < 0 || pc.free > pc.total {
+			return nil, fmt.Errorf("serve: cluster %q free_procs out of range", pc.name)
 		}
-		visible := make([]*job.Job, 0, len(pc.Jobs))
+		start, end := pc.jobs[0], pc.jobs[1]
 		pendingWork := 0.0
-		for k := range pc.Jobs {
-			wj := &pc.Jobs[k]
-			if wj.ReqProcs <= 0 || wj.ReqTime <= 0 {
+		for k, jb := range pb.jobs[start:end] {
+			if jb.RequestedProcs <= 0 || jb.RequestedTime <= 0 {
 				return nil, fmt.Errorf("serve: cluster %q job %d needs positive requested_time and requested_procs",
-					pc.Name, k)
+					pc.name, k)
 			}
-			jb := wj.toJob()
-			visible = append(visible, &jb)
-			pendingWork += wj.ReqTime * float64(wj.ReqProcs)
+			pendingWork += jb.RequestedTime * float64(jb.RequestedProcs)
 		}
-		pending := pc.QueueLen
-		if pending < len(pc.Jobs) {
-			pending = len(pc.Jobs)
-		}
-		cands = append(cands, &fleet.Candidate{
+		pb.cands = append(pb.cands, fleet.Candidate{
 			Index:       idx,
-			Name:        pc.Name,
-			Now:         pc.Now,
-			View:        sim.ClusterView{FreeProcs: pc.FreeProcs, TotalProcs: pc.TotalProcs},
-			Visible:     visible,
-			Pending:     pending,
+			Name:        sh.name,
+			Now:         pc.now,
+			View:        sim.ClusterView{FreeProcs: pc.free, TotalProcs: pc.total},
+			Visible:     pb.jobPtr[start:end:end],
+			Pending:     max(pc.queueLen, end-start),
 			PendingWork: pendingWork,
 			// RunningWork is unknowable from a posted snapshot; the
 			// queue signals above carry the load information.
 		})
 	}
-	return cands, nil
+	pb.candPtr = pb.candPtr[:0]
+	for i := range pb.cands {
+		pb.candPtr = append(pb.candPtr, &pb.cands[i])
+	}
+	return pb.candPtr, nil
 }

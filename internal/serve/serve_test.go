@@ -78,6 +78,9 @@ func postJSON(t *testing.T, url string, body []byte) (int, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p := resp.Request.URL.Path; p == "/place" || p == "/migrate" {
+		placeTape.record(placeExchange{path: p, body: body, code: resp.StatusCode, resp: out})
+	}
 	return resp.StatusCode, out
 }
 

@@ -341,14 +341,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}()
 	rb.reset()
 
-	body, err := readAllInto(rb.body[:0], io.LimitReader(r.Body, s.maxBody+1))
+	body, ok := s.readBody(w, r, rb.body[:0])
 	rb.body = body
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if int64(len(body)) > s.maxBody {
-		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: body over %d bytes", s.maxBody))
+	if !ok {
 		return
 	}
 	if err := rb.parseRequest(body); err != nil {
@@ -539,6 +534,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			s.metrics.WALRecordsTotal.Load())
 		promCounter(w, "rlserv_checkpoints_total", "Fairness snapshots written.",
 			s.metrics.CheckpointsTotal.Load())
+		healthy := 1
+		if s.durable.walHealth() != nil {
+			healthy = 0
+		}
+		promFamily(w, "rlserv_wal_healthy",
+			"1 while the write-ahead log accepts appends, 0 from a failed append until the next checkpoint.", "gauge")
+		fmt.Fprintf(w, "rlserv_wal_healthy %d\n", healthy)
 	}
 	if len(s.shards) > 0 {
 		promFamily(w, "rlserv_shard_drained", "1 when the shard is cordoned by /drain, else 0.", "gauge")
@@ -663,12 +665,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is the readiness probe: ready only at full service (level
 // 0), so load balancers steer new traffic away the moment the daemon
-// starts degrading, well before /healthz gives up on it.
+// starts degrading, well before /healthz gives up on it. A poisoned WAL
+// or a cordoned shard also reports not-ready.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if level := s.sloLevel(); level > 0 {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintf(w, "degraded level=%d\n", level)
 		return
+	}
+	if s.durable != nil {
+		if err := s.durable.walHealth(); err != nil {
+			// Completion batches now answer 500: steer placements to a
+			// healthy replica until a checkpoint opens a fresh segment.
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprintf(w, "wal unhealthy: %v\n", err)
+			return
+		}
 	}
 	if names := s.drainedShards(); len(names) > 0 {
 		// A cordoned shard means the fleet serves below strength; report

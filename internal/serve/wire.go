@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
+	"rlsched/internal/fleet"
 	"rlsched/internal/job"
 	"rlsched/internal/sim"
 )
@@ -27,6 +29,25 @@ import (
 // 1-core CI box, and the decode is the biggest single cost of a decision).
 // Any body the fast parser rejects falls back to encoding/json, so every
 // valid JSON request is accepted either way.
+//
+// Fleet mode's /place body is, canonically,
+//
+//	{"client": "agent-3", "batch_seq": 41,
+//	 "job": [submit_time, requested_time, requested_procs, user_id?, id?],
+//	 "clusters": [{"name": "c0", "now": 7200, "free_procs": 96,
+//	               "total_procs": 128, "queue_len": 40,
+//	               "jobs": [[submit, req_time, procs, user?, id?], ...],
+//	               "completed": [[user_id, wait, run_time], ...]}, ...]}
+//
+// with client/batch_seq (the completion batch's dedup identity), queue_len
+// and completed optional; /migrate carries "from": "c0" instead of
+// client/batch_seq. The same fast parser decodes it into a pooled
+// placeBuf. It is stricter than the decide parser: JSON's number grammar,
+// integer fields as integers (batch_seq exact up to 15 digits), each key
+// at most once, no string escapes. Everything else — object rows
+// ({"user_id": u, "wait": w, "run_time": r} for completed records),
+// escapes, unknown keys, a longer or fractional batch_seq — takes the
+// encoding/json path, which fills the same placeBuf.
 
 // wireJob decodes a job from either object or compact-array form.
 type wireJob struct {
@@ -259,6 +280,164 @@ func (rb *reqBuf) addWireState(ws *wireState) {
 		QueueLen:   ws.QueueLen,
 		WantScores: ws.Scores,
 	}, start, len(rb.arena))
+}
+
+// placeCluster is one cluster's state in a /place or /migrate request: a
+// named queue state. Unlike /v1/decide states, an empty jobs list is
+// legal (an idle cluster is the best possible placement). Completed
+// carries the jobs the cluster finished since its last report — the
+// fairness tracker's incremental feed (ignored unless the daemon runs
+// with a fairness weight).
+type placeCluster struct {
+	Name      string     `json:"name"`
+	Completed []wireDone `json:"completed"`
+	wireState
+}
+
+// placeRequest is the /place body. Client and BatchSeq are the optional
+// dedup identity of the completed-records batch: a client that tags each
+// batch with a monotonically increasing sequence can retry a /place
+// request (timeout, 5xx) without double-counting its completions — a
+// batch whose seq is not above the client's highest absorbed seq is
+// acknowledged but not re-observed.
+type placeRequest struct {
+	Job      wireJob        `json:"job"`
+	Clusters []placeCluster `json:"clusters"`
+	Client   string         `json:"client"`
+	BatchSeq *int64         `json:"batch_seq"`
+}
+
+// migrateRequest is the /migrate body: the queued job, the name of the
+// cluster currently holding it, and every cluster's state. Like the
+// offline migration controller, the caller reports states as if the job
+// were already withdrawn — its current cluster's jobs list must not
+// include it, so its own footprint cannot bias the incumbent's score.
+type migrateRequest struct {
+	Job      wireJob        `json:"job"`
+	From     string         `json:"from"`
+	Clusters []placeCluster `json:"clusters"`
+}
+
+// placeState is one decoded cluster state of a /place or /migrate body;
+// its queued jobs and completed records are ranges of the placeBuf
+// arenas.
+type placeState struct {
+	name                  []byte
+	now                   float64
+	free, total, queueLen int
+	jobs, done            [2]int // [start, end) in placeBuf.jobs / .done
+}
+
+// placeBuf is the pooled decode of one /place or /migrate body plus the
+// per-request scratch the handlers build from it. Both parse paths fill
+// the same fields, so everything after the decode — validation, scoring,
+// the WAL record, the answer — cannot tell which path ran. Nothing in it
+// outlives the request: /place and /migrate score synchronously.
+type placeBuf struct {
+	body []byte
+	resp []byte
+
+	job      job.Job
+	client   string
+	seq      int64
+	hasSeq   bool
+	from     string
+	clusters []placeState
+	jobs     []job.Job  // every cluster's queued jobs, back to back
+	done     []wireDone // every cluster's completed records, back to back
+
+	jobPtr  []*job.Job
+	cands   []fleet.Candidate
+	candPtr []*fleet.Candidate
+	seen    []bool // per shard: already posted in this request
+	scores  []float64
+	wcs     []walCluster
+	idxs    []int
+}
+
+var placeBufPool = sync.Pool{New: func() interface{} {
+	return &placeBuf{
+		body: make([]byte, 0, 16<<10),
+		resp: make([]byte, 0, 512),
+		jobs: make([]job.Job, 0, 256),
+	}
+}}
+
+// resetDecode clears the decoded request, keeping every buffer.
+func (pb *placeBuf) resetDecode() {
+	pb.job = (&wireJob{UserID: -1}).toJob()
+	pb.client, pb.seq, pb.hasSeq, pb.from = "", 0, false, ""
+	pb.clusters = pb.clusters[:0]
+	pb.jobs = pb.jobs[:0]
+	pb.done = pb.done[:0]
+}
+
+// scoreBuf returns pb's score scratch sized for n candidates.
+func (pb *placeBuf) scoreBuf(n int) []float64 {
+	if cap(pb.scores) < n {
+		pb.scores = make([]float64, n)
+	}
+	pb.scores = pb.scores[:n]
+	return pb.scores
+}
+
+// forcePlaceJSON sends every /place and /migrate body to parseSlow; the
+// parity tests compare the two paths through the live handlers with it.
+var forcePlaceJSON atomic.Bool
+
+// parse decodes a /place (migrate false) or /migrate body: fast path
+// first, encoding/json as the catch-all. The error is encoding/json's.
+func (pb *placeBuf) parse(body []byte, migrate bool) error {
+	if !forcePlaceJSON.Load() && pb.parseFast(body, migrate) == nil {
+		return nil
+	}
+	return pb.parseSlow(body, migrate)
+}
+
+// parseSlow is the encoding/json catch-all. It accepts every valid JSON
+// body; on anything both paths accept, parseFast must produce the same
+// fields (pinned by the FuzzParsePlace differential).
+func (pb *placeBuf) parseSlow(body []byte, migrate bool) error {
+	pb.resetDecode()
+	var wj *wireJob
+	var clusters []placeCluster
+	if migrate {
+		var req migrateRequest
+		req.Job.UserID = -1
+		if err := json.Unmarshal(body, &req); err != nil {
+			return err
+		}
+		wj, clusters, pb.from = &req.Job, req.Clusters, req.From
+	} else {
+		var req placeRequest
+		req.Job.UserID = -1
+		if err := json.Unmarshal(body, &req); err != nil {
+			return err
+		}
+		wj, clusters, pb.client = &req.Job, req.Clusters, req.Client
+		if req.BatchSeq != nil {
+			pb.seq, pb.hasSeq = *req.BatchSeq, true
+		}
+	}
+	pb.job = wj.toJob()
+	for i := range clusters {
+		pc := &clusters[i]
+		c := placeState{
+			name:     []byte(pc.Name),
+			now:      pc.Now,
+			free:     pc.FreeProcs,
+			total:    pc.TotalProcs,
+			queueLen: pc.QueueLen,
+			jobs:     [2]int{len(pb.jobs), len(pb.jobs) + len(pc.Jobs)},
+			done:     [2]int{len(pb.done), len(pb.done) + len(pc.Completed)},
+		}
+		for k := range pc.Jobs {
+			pb.jobs = append(pb.jobs, pc.Jobs[k].toJob())
+		}
+		pb.done = append(pb.done, pc.Completed...)
+		pb.clusters = append(pb.clusters, c)
+	}
+	return nil
 }
 
 // validate enforces the request invariants shared by both parse paths.
