@@ -120,8 +120,6 @@ func main() {
 	model := flag.String("model", "", "model snapshot path (rlsched train output)")
 	policy := flag.String("policy", "", "heuristic name instead of a model (FCFS|WFP3|UNICEP|SJF|F1|SAF|LJF)")
 	addr := flag.String("addr", ":9090", "listen address")
-	batchWindow := flag.Duration("batch-window", 200*time.Microsecond,
-		"how long a lone request waits for company before a solo forward pass")
 	workers := flag.Int("workers", 0, "decision workers (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", 64, "max queue states per forward pass")
 	var shards shardFlags
@@ -167,7 +165,6 @@ func main() {
 		ModelPath:          *model,
 		PolicyName:         *policy,
 		Workers:            *workers,
-		BatchWindow:        *batchWindow,
 		MaxBatch:           *maxBatch,
 		Shards:             shards,
 		PlaceRouter:        *placeRouter,
@@ -200,11 +197,11 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if names := srv.Shards(); len(names) > 0 {
-		fmt.Printf("rlservd: fleet mode, shards %v, serving policy %q on %s (batch-window=%v max-batch=%d)\n",
-			names, srv.Engine().Name(), *addr, *batchWindow, *maxBatch)
+		fmt.Printf("rlservd: fleet mode, shards %v, serving policy %q on %s (max-batch=%d)\n",
+			names, srv.Engine().Name(), *addr, *maxBatch)
 	} else {
-		fmt.Printf("rlservd: serving policy %q on %s (batch-window=%v max-batch=%d)\n",
-			srv.Engine().Name(), *addr, *batchWindow, *maxBatch)
+		fmt.Printf("rlservd: serving policy %q on %s (max-batch=%d)\n",
+			srv.Engine().Name(), *addr, *maxBatch)
 	}
 
 	select {

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // group is one submitted unit of work: all queue states of one HTTP
@@ -23,16 +22,16 @@ type group struct {
 // engineBox makes the Engine interface value swappable via atomic.Pointer.
 type engineBox struct{ e Engine }
 
-// Batcher coalesces concurrent decision requests into batched engine
-// calls. A fixed pool of workers pulls groups off one queue; each worker
-// greedily drains whatever is queued (up to MaxBatch states) into a single
-// DecideBatch call, and only when it holds a lone group does it wait up to
-// Window for company. Under load batches fill with zero added latency;
-// when idle the window bounds the wait.
+// Batcher runs decision requests on a fixed pool of workers that pull
+// groups off one queue. It is work-conserving: a free worker dispatches at
+// once, never holding a request back for others to batch with. Groups that
+// queued while every worker was busy share one DecideBatch call (up to
+// MaxBatch states), so batches grow with load and an idle daemon answers
+// a lone request with no added wait.
 type Batcher struct {
 	queue    chan *group
-	quit     chan struct{}
-	window   time.Duration
+	quit     chan struct{} // closed by Close: workers drain the queue and exit
+	stopped  chan struct{} // closed once every worker has exited
 	maxBatch int
 	engine   atomic.Pointer[engineBox]
 
@@ -44,10 +43,9 @@ type Batcher struct {
 }
 
 // BatcherConfig sizes a Batcher. Zero values take defaults: workers =
-// GOMAXPROCS, window = 200µs, maxBatch = 64 states.
+// GOMAXPROCS, maxBatch = 64 states.
 type BatcherConfig struct {
 	Workers  int
-	Window   time.Duration
 	MaxBatch int
 	// OnBatch, when set, observes every engine call's batch size.
 	OnBatch func(states int)
@@ -58,16 +56,13 @@ func NewBatcher(e Engine, cfg BatcherConfig) *Batcher {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Window == 0 {
-		cfg.Window = 200 * time.Microsecond
-	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
 	}
 	b := &Batcher{
 		queue:    make(chan *group, 4*cfg.MaxBatch),
 		quit:     make(chan struct{}),
-		window:   cfg.Window,
+		stopped:  make(chan struct{}),
 		maxBatch: cfg.MaxBatch,
 		onBatch:  cfg.OnBatch,
 	}
@@ -92,7 +87,7 @@ func (b *Batcher) QueueDepth() int { return len(b.queue) }
 // request is dropped.
 func (b *Batcher) Swap(e Engine) { b.engine.Store(&engineBox{e}) }
 
-// Close stops the workers after draining whatever is queued. The queue
+// Close stops the workers after answering whatever is queued. The queue
 // channel is never closed, so a handler racing Close (e.g. when an HTTP
 // graceful-shutdown deadline expires with requests still in flight) gets
 // an error instead of a send-on-closed-channel panic.
@@ -100,6 +95,7 @@ func (b *Batcher) Close() {
 	if b.closed.CompareAndSwap(false, true) {
 		close(b.quit)
 		b.wg.Wait()
+		close(b.stopped)
 	}
 }
 
@@ -125,8 +121,8 @@ func (b *Batcher) Decide(ctx context.Context, states []*QueueState) ([]Decision,
 	select {
 	case <-g.done:
 		return g.out, g.policy, nil
-	case <-b.quit:
-		// Workers may already be gone; don't wait on abandoned work.
+	case <-b.stopped:
+		// A group the exited workers did not take is never answered.
 		select {
 		case <-g.done:
 			return g.out, g.policy, nil
@@ -138,19 +134,51 @@ func (b *Batcher) Decide(ctx context.Context, states []*QueueState) ([]Decision,
 	}
 }
 
-// worker is the batching loop.
+// worker is the dispatch loop. It never waits for company: it takes the
+// first queued group, adds the groups already queued behind it while they
+// fit in MaxBatch states, and runs them at once. A group that would
+// overflow the batch is carried into this worker's next batch, so a lone
+// group larger than MaxBatch is the only call that exceeds it.
 func (b *Batcher) worker() {
 	defer b.wg.Done()
 	var (
 		groups []*group
 		states []*QueueState
 		out    []Decision
-		timer  = time.NewTimer(time.Hour)
+		carry  *group
 	)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	runBatch := func(groups []*group) {
+	for {
+		first := carry
+		carry = nil
+		if first == nil {
+			select {
+			case first = <-b.queue:
+			case <-b.quit:
+				// Answer whatever made it into the queue, then stop.
+				select {
+				case first = <-b.queue:
+				default:
+					return
+				}
+			}
+		}
+		groups = append(groups[:0], first)
+		n := len(first.states)
+	drain:
+		for n < b.maxBatch {
+			select {
+			case g := <-b.queue:
+				if n+len(g.states) > b.maxBatch {
+					carry = g
+					break drain
+				}
+				groups = append(groups, g)
+				n += len(g.states)
+			default:
+				break drain
+			}
+		}
+
 		states = states[:0]
 		for _, g := range groups {
 			states = append(states, g.states...)
@@ -171,59 +199,5 @@ func (b *Batcher) worker() {
 			i += len(g.states)
 			close(g.done)
 		}
-	}
-
-	for {
-		var first *group
-		select {
-		case first = <-b.queue:
-		case <-b.quit:
-			// Drain and answer whatever made it into the queue.
-			for {
-				select {
-				case g := <-b.queue:
-					runBatch(append(groups[:0], g))
-				default:
-					return
-				}
-			}
-		}
-		groups = append(groups[:0], first)
-		n := len(first.states)
-
-		// Greedy, non-blocking drain of everything already queued.
-	drain:
-		for n < b.maxBatch {
-			select {
-			case g := <-b.queue:
-				groups = append(groups, g)
-				n += len(g.states)
-			default:
-				break drain
-			}
-		}
-		// A lone small group waits up to the window for company once.
-		if len(groups) == 1 && n < b.maxBatch && b.window > 0 {
-			timer.Reset(b.window)
-		wait:
-			for n < b.maxBatch {
-				select {
-				case g := <-b.queue:
-					groups = append(groups, g)
-					n += len(g.states)
-				case <-timer.C:
-					break wait
-				case <-b.quit:
-					break wait
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
-		runBatch(groups)
 	}
 }

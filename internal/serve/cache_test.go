@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestDecisionCacheDecide: identical /v1/decide requests hit the cache
@@ -14,10 +13,9 @@ import (
 func TestDecisionCacheDecide(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		PolicyName:    "SJF",
-		BatchWindow:   time.Microsecond,
 		DecisionCache: 8,
 	})
-	_, plain := newTestServer(t, Config{PolicyName: "SJF", BatchWindow: time.Microsecond})
+	_, plain := newTestServer(t, Config{PolicyName: "SJF"})
 
 	body := []byte(`{"now":10,"free_procs":8,"total_procs":64,` +
 		`"jobs":[[0,600,4],[-30,60,2],[-60,3600,32]],"scores":true}`)
@@ -89,7 +87,6 @@ func TestDecisionCacheDecide(t *testing.T) {
 // scoring, and the answer never changes.
 func TestDecisionCachePlace(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		BatchWindow:   time.Microsecond,
 		DecisionCache: 64,
 		Shards: []ShardConfig{
 			{Name: "a", Procs: 64, PolicyName: "SJF"},

@@ -1,10 +1,11 @@
 // Package serve is the online scheduling-decision service: it loads a
 // trained nn.Snapshot (or a named heuristic from internal/sched) and serves
 // scheduling decisions over an HTTP JSON API. The design goal is
-// throughput on the decision hot path — concurrent requests are coalesced
-// into single batched forward passes through the policy network, models
-// hot-swap atomically under load, and the whole pipeline reuses buffers
-// instead of allocating per decision.
+// throughput on the decision hot path — a free worker answers a request at
+// once, requests that queue while every worker is busy share one batched
+// forward pass through the policy network, models hot-swap atomically
+// under load, and the whole pipeline reuses buffers instead of allocating
+// per decision.
 package serve
 
 import (

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"rlsched/internal/job"
 )
@@ -99,7 +98,6 @@ func TestParseFastAcceptsEdgeShapes(t *testing.T) {
 func TestDecideNegativePaths(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		PolicyName:          "SJF",
-		BatchWindow:         time.Microsecond,
 		MaxBodyBytes:        4 << 10,
 		MaxStatesPerRequest: 8,
 	})

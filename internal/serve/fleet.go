@@ -100,7 +100,6 @@ func (s *Server) initFleet(cfg Config) error {
 			procs: sc.Procs,
 			batcher: NewBatcher(eng, BatcherConfig{
 				Workers:  cfg.Workers,
-				Window:   cfg.BatchWindow,
 				MaxBatch: cfg.MaxBatch,
 				OnBatch:  func(states int) { s.metrics.BatchSize.Observe(float64(states)) },
 			}),

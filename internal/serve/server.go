@@ -29,9 +29,12 @@ type Config struct {
 	ModelPath  string
 	PolicyName string
 	// Batcher sizing (zero values take BatcherConfig defaults).
-	Workers     int
+	Workers  int
+	MaxBatch int
+	// BatchWindow is ignored: the batcher dispatches as soon as a worker
+	// is free and never waits for requests to batch with. The field stays
+	// only so that callers which still set it keep compiling.
 	BatchWindow time.Duration
-	MaxBatch    int
 	// MaxBodyBytes caps decision request bodies (default 8 MiB).
 	MaxBodyBytes int64
 	// MaxStatesPerRequest caps the queue states one request may carry
@@ -221,7 +224,6 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.batcher = NewBatcher(eng, BatcherConfig{
 			Workers:  cfg.Workers,
-			Window:   cfg.BatchWindow,
 			MaxBatch: cfg.MaxBatch,
 			OnBatch:  func(states int) { s.metrics.BatchSize.Observe(float64(states)) },
 		})

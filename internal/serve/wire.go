@@ -194,11 +194,15 @@ type reqBuf struct {
 	batch  bool  // request used the states form
 }
 
+// reqBufPool starts each buffer small; its arena grows to the largest
+// request it serves. The pool drops buffers that sit unused through two
+// garbage collections, so at a high request rate it makes new ones
+// several times a second: a large up-front arena would be allocated and
+// kept live mostly unfilled.
 var reqBufPool = sync.Pool{New: func() interface{} {
 	return &reqBuf{
-		body:  make([]byte, 0, 16<<10),
-		resp:  make([]byte, 0, 1<<10),
-		arena: make([]job.Job, 0, 512),
+		body: make([]byte, 0, 4<<10),
+		resp: make([]byte, 0, 1<<10),
 	}
 }}
 
